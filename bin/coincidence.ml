@@ -143,17 +143,37 @@ let write_file path f =
       exit 1
 
 (* Per-trial observation state; every run_ba call gets its own trace and
-   span recorder while metrics aggregate across trials. *)
+   span recorder while metrics aggregate across trials.  Event records go
+   to [events] as each trial finishes, so they never pile up across
+   trials. *)
 type observation = {
   metrics : Obs.Metrics.t;
+  events : out_channel option;
   mutable outcomes : Obs.Json.t list;  (* newest first *)
   mutable spans : Obs.Span.t list;     (* newest first *)
   mutable chrome : Obs.Json.t list;    (* newest first *)
-  mutable events : Obs.Json.t list;    (* newest first *)
 }
 
-let observation () =
-  { metrics = Obs.Metrics.create (); outcomes = []; spans = []; chrome = []; events = [] }
+let observation ?events () =
+  { metrics = Obs.Metrics.create (); events; outcomes = []; spans = []; chrome = [] }
+
+(* Opens the --emit-events file for the whole trial loop, if asked. *)
+let with_events_sink emit_events f =
+  match emit_events with
+  | Some path -> write_file path (fun oc -> f (Some oc))
+  | None -> f None
+
+(* A run record with what the trial's event ring kept and dropped. *)
+let run_record o trace =
+  let truncation =
+    [
+      ("events_kept", Obs.Json.Int (Sim.Trace.length trace));
+      ("events_dropped", Obs.Json.Int (Sim.Trace.dropped trace));
+    ]
+  in
+  match Core.Instrument.outcome_json o with
+  | Obs.Json.Obj members -> Obs.Json.Obj (members @ truncation)
+  | other -> other
 
 (* Probe for one BA trial: returns the attach function for Runner ~probe
    and a [finish] to call once the run returned. *)
@@ -173,18 +193,23 @@ let ba_trial_probe obs ~trial =
         Obs.Span.end_span sp;
         obs.spans <- sp :: obs.spans
     | None -> ());
-    obs.outcomes <- Core.Instrument.outcome_json o :: obs.outcomes;
+    obs.outcomes <- run_record o trace :: obs.outcomes;
+    if Sim.Trace.dropped trace > 0 then
+      Format.eprintf "trial %d: event ring kept the last %d events and dropped %d earlier ones@."
+        trial (Sim.Trace.length trace) (Sim.Trace.dropped trace);
     obs.chrome <-
       List.rev_append
         (Obs.Export.chrome_process_name ~pid:trial (Printf.sprintf "trial %d" trial)
          :: (Obs.Export.chrome_of_trace ~pid:trial trace
             @ match !span with Some sp -> Obs.Export.chrome_of_spans ~pid:trial sp | None -> []))
         obs.chrome;
-    obs.events <- List.rev_append (Obs.Export.trace_jsonl ~run:trial trace) obs.events
+    match obs.events with
+    | Some oc -> Obs.Export.write_jsonl oc (Obs.Export.trace_jsonl ~run:trial trace)
+    | None -> ()
   in
   (attach, finish)
 
-let write_observation obs ~params ~emit_metrics ~emit_trace ~emit_events =
+let write_observation obs ~params ~emit_metrics ~emit_trace =
   let doc () =
     Core.Instrument.metrics_doc ~params ~outcomes:(List.rev obs.outcomes)
       ~spans:(List.rev obs.spans) ~metrics:obs.metrics ()
@@ -195,14 +220,11 @@ let write_observation obs ~params ~emit_metrics ~emit_trace ~emit_events =
           Obs.Json.to_channel oc (doc ());
           output_char oc '\n')
   | None -> ());
-  (match emit_trace with
+  match emit_trace with
   | Some path ->
       write_file path (fun oc ->
           Obs.Json.to_channel oc (Obs.Export.chrome_trace (List.rev obs.chrome));
           output_char oc '\n')
-  | None -> ());
-  match emit_events with
-  | Some path -> write_file path (fun oc -> Obs.Export.write_jsonl oc (List.rev obs.events))
   | None -> ()
 
 (* ------------------------------ params ------------------------------ *)
@@ -245,13 +267,13 @@ let unanimous_arg =
 (* The shared trial loop of `ba` and `obs`.  Exporters attach only when a
    sink asked for them: an unobserved run takes the exact same code path
    as before this layer existed. *)
-let run_ba_trials ~observe n seed trials lambda epsilon d backend rsa_bits scheduler corruption
-    unanimous =
+let run_ba_trials ~observe ?events n seed trials lambda epsilon d backend rsa_bits scheduler
+    corruption unanimous =
   let keyring = make_keyring backend rsa_bits n seed in
   let params = make_params n epsilon d lambda in
   Format.printf "%a@." Core.Params.pp params;
   let corruption = corruption_of params corruption in
-  let obs = observation () in
+  let obs = observation ?events () in
   let exit_code = ref 0 in
   for i = 0 to trials - 1 do
     let inputs = if unanimous then Array.make n 1 else Array.init n (fun p -> (p + i) mod 2) in
@@ -276,12 +298,13 @@ let ba_cmd =
   let run n seed trials lambda epsilon d backend rsa_bits scheduler corruption unanimous
       emit_metrics emit_trace emit_events =
     let observe = emit_metrics <> None || emit_trace <> None || emit_events <> None in
-    let params, obs, exit_code =
-      run_ba_trials ~observe n seed trials lambda epsilon d backend rsa_bits scheduler corruption
-        unanimous
-    in
-    write_observation obs ~params ~emit_metrics ~emit_trace ~emit_events;
-    exit_code
+    with_events_sink emit_events (fun events ->
+        let params, obs, exit_code =
+          run_ba_trials ~observe ?events n seed trials lambda epsilon d backend rsa_bits scheduler
+            corruption unanimous
+        in
+        write_observation obs ~params ~emit_metrics ~emit_trace;
+        exit_code)
   in
   Cmd.v (Cmd.info "ba" ~doc:"Run Byzantine Agreement WHP instances.")
     Term.(
@@ -322,6 +345,28 @@ let print_spans_summary recorders =
         (Obs.Span.completed recorder))
     recorders
 
+(* The first run record whose event-ring members are malformed: both
+   present as non-negative integers, or both absent (documents without
+   per-trial traces, e.g. `estimate --emit-metrics`). *)
+let bad_truncation doc =
+  let runs = match Obs.Json.member "runs" doc with Some l -> Obs.Json.to_list l | None -> [] in
+  let check i r =
+    let field k =
+      match Obs.Json.member k r with
+      | None -> Ok None
+      | Some v -> (
+          match Obs.Json.to_int_opt v with
+          | Some x when x >= 0 -> Ok (Some x)
+          | _ -> Error (Printf.sprintf "runs[%d]: %S must be a non-negative integer" i k))
+    in
+    match (field "events_kept", field "events_dropped") with
+    | Error e, _ | _, Error e -> Some e
+    | Ok (Some _), Ok None | Ok None, Ok (Some _) ->
+        Some (Printf.sprintf "runs[%d]: \"events_kept\" and \"events_dropped\" come together" i)
+    | Ok _, Ok _ -> None
+  in
+  List.find_map Fun.id (List.mapi check runs)
+
 (* Summarize a previously written --emit-metrics document.  Returns a
    non-zero exit code on parse/schema mismatch, so CI can use it as a
    validator for freshly produced files. *)
@@ -347,59 +392,70 @@ let summarize_loaded path =
           (fun () -> Ok (really_input_string ic (in_channel_length ic)))
     | exception Sys_error e -> Error e
   in
+  let summarize_metrics s doc =
+    Format.printf "schema: %s@." s;
+    (match Obs.Json.member "params" doc with
+    | Some params -> (
+        match
+          (int_member "n" params, int_member "f" params, int_member "lambda" params)
+        with
+        | Some n, Some f, Some lambda ->
+            Format.printf "params: n=%d f=%d lambda=%d@." n f lambda
+        | _ -> ())
+    | None -> ());
+    let runs = list_member "runs" doc in
+    Format.printf "runs: %d@." (List.length runs);
+    List.iteri
+      (fun i r ->
+        (match
+           ( int_member "decided" r,
+             int_member "n" r,
+             int_member "rounds" r,
+             int_member "words" r )
+         with
+        | Some d, Some n, Some rounds, Some words ->
+            Format.printf "  run %d: decided %d/%d, rounds=%d, words=%d@." i d n rounds
+              words
+        | _ -> ());
+        match (int_member "events_kept" r, int_member "events_dropped" r) with
+        | Some kept, Some dropped when dropped > 0 ->
+            Format.printf "    events: kept %d, dropped %d@." kept dropped
+        | _ -> ())
+      runs;
+    let metrics = Option.value ~default:Obs.Json.Null (Obs.Json.member "metrics" doc) in
+    let counters = list_member "counters" metrics in
+    Format.printf "counter series: %d@." (List.length counters);
+    List.iter
+      (fun c ->
+        match (str_member "name" c, int_member "value" c) with
+        | Some name, Some v ->
+            Format.printf "  %-44s %8d@." (name ^ pp_label_set (labels_of c)) v
+        | _ -> ())
+      counters;
+    let histograms = list_member "histograms" metrics in
+    Format.printf "histogram series: %d@." (List.length histograms);
+    List.iter
+      (fun h ->
+        match (str_member "name" h, int_member "count" h) with
+        | Some name, Some count ->
+            Format.printf "  %-44s count=%d@." (name ^ pp_label_set (labels_of h)) count
+        | _ -> ())
+      histograms;
+    Format.printf "spans: %d@." (List.length (list_member "spans" doc));
+    0
+  in
   match Result.bind contents Obs.Json.of_string with
   | Error e ->
       Format.eprintf "%s: %s@." path e;
       1
   | Ok doc -> (
       match str_member "schema" doc with
-      | Some s when s = Core.Instrument.metrics_schema ->
-          Format.printf "schema: %s@." s;
-          (match Obs.Json.member "params" doc with
-          | Some params -> (
-              match
-                (int_member "n" params, int_member "f" params, int_member "lambda" params)
-              with
-              | Some n, Some f, Some lambda ->
-                  Format.printf "params: n=%d f=%d lambda=%d@." n f lambda
-              | _ -> ())
-          | None -> ());
-          let runs = list_member "runs" doc in
-          Format.printf "runs: %d@." (List.length runs);
-          List.iteri
-            (fun i r ->
-              match
-                ( int_member "decided" r,
-                  int_member "n" r,
-                  int_member "rounds" r,
-                  int_member "words" r )
-              with
-              | Some d, Some n, Some rounds, Some words ->
-                  Format.printf "  run %d: decided %d/%d, rounds=%d, words=%d@." i d n rounds
-                    words
-              | _ -> ())
-            runs;
-          let metrics = Option.value ~default:Obs.Json.Null (Obs.Json.member "metrics" doc) in
-          let counters = list_member "counters" metrics in
-          Format.printf "counter series: %d@." (List.length counters);
-          List.iter
-            (fun c ->
-              match (str_member "name" c, int_member "value" c) with
-              | Some name, Some v ->
-                  Format.printf "  %-44s %8d@." (name ^ pp_label_set (labels_of c)) v
-              | _ -> ())
-            counters;
-          let histograms = list_member "histograms" metrics in
-          Format.printf "histogram series: %d@." (List.length histograms);
-          List.iter
-            (fun h ->
-              match (str_member "name" h, int_member "count" h) with
-              | Some name, Some count ->
-                  Format.printf "  %-44s count=%d@." (name ^ pp_label_set (labels_of h)) count
-              | _ -> ())
-            histograms;
-          Format.printf "spans: %d@." (List.length (list_member "spans" doc));
-          0
+      | Some s when s = Core.Instrument.metrics_schema -> (
+          match bad_truncation doc with
+          | Some e ->
+              Format.eprintf "%s: %s@." path e;
+              1
+          | None -> summarize_metrics s doc)
       | Some s when s = Obs.Export.bench_schema -> begin
           (* Bench documents: every row must be an object naming its table;
              reject structurally broken files so CI catches producer drift. *)
@@ -492,14 +548,15 @@ let obs_cmd =
     match load with
     | Some path -> summarize_loaded path
     | None ->
-        let params, obs, exit_code =
-          run_ba_trials ~observe:true n seed trials lambda epsilon d backend rsa_bits scheduler
-            corruption unanimous
-        in
-        print_metrics_summary obs.metrics;
-        print_spans_summary (List.rev obs.spans);
-        write_observation obs ~params ~emit_metrics ~emit_trace ~emit_events;
-        exit_code
+        with_events_sink emit_events (fun events ->
+            let params, obs, exit_code =
+              run_ba_trials ~observe:true ?events n seed trials lambda epsilon d backend rsa_bits
+                scheduler corruption unanimous
+            in
+            print_metrics_summary obs.metrics;
+            print_spans_summary (List.rev obs.spans);
+            write_observation obs ~params ~emit_metrics ~emit_trace;
+            exit_code)
   in
   let load_arg =
     Arg.(

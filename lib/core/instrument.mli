@@ -17,7 +17,21 @@
     ]}
 
     Attachment is observation-only: outcomes are byte-identical with and
-    without it ([test/t_obs.ml] pins this down). *)
+    without it ([test/t_obs.ml] pins this down).  Sends are read through
+    {!Sim.Engine.on_send_meta}, once per broadcast, so an attached engine
+    keeps lazy broadcast expansion, and every series goes through an
+    {!Obs.Metrics} handle resolved once per attachment.
+
+    Counter series written ([class] is ["correct"] or ["byz"] at send
+    time; [tag] comes from the protocol's [tag_of_msg]):
+    - [sent_msgs{tag,class}], [sent_words{tag,class}]
+    - [round_msgs{round}], [round_words{round}] (BA only)
+    - [proc_sent_msgs{pid}], [proc_sent_words{pid}]
+    - [delivered_msgs{tag}], [delivered_to_faulty], [corruptions]
+
+    Histogram series: [words_per_msg{tag}], [delivery_latency_steps],
+    [delivery_latency_vtime], [causal_depth] (depth of each delivered
+    envelope). *)
 
 val attach_ba : Ba.msg Sim.Engine.t -> metrics:Obs.Metrics.t -> unit
 val attach_coin : Coin.msg Sim.Engine.t -> metrics:Obs.Metrics.t -> unit

@@ -1,11 +1,19 @@
 let bench_schema = "coincidence.bench/1"
 
+(* Lines are rendered into one buffer, flushed to the channel every
+   64 KiB, instead of one string per value. *)
 let write_jsonl oc values =
+  let buf = Buffer.create 65536 in
   List.iter
     (fun v ->
-      Json.to_channel oc v;
-      output_char oc '\n')
-    values
+      Json.to_buffer buf v;
+      Buffer.add_char buf '\n';
+      if Buffer.length buf >= 65536 then begin
+        Buffer.output_buffer oc buf;
+        Buffer.clear buf
+      end)
+    values;
+  Buffer.output_buffer oc buf
 
 let jsonl_to_string values =
   let buf = Buffer.create 4096 in
@@ -16,39 +24,44 @@ let jsonl_to_string values =
     values;
   Buffer.contents buf
 
+(* A field whose values stay small (pids, depths, word counts) shares
+   one [(key, Int v)] pair per value across the records of one export:
+   fewer words to allocate and to promote for a list that lives until
+   it is written. *)
+let small_field key =
+  let shared = Array.init 1024 (fun v -> (key, Json.Int v)) in
+  fun v -> if v >= 0 && v < 1024 then shared.(v) else (key, Json.Int v)
+
 let trace_jsonl ?(run = 0) trace =
+  let run = ("run", Json.Int run) in
+  let src = small_field "src" and dst = small_field "dst" in
+  let depth = small_field "depth" and words = small_field "words" in
   let record = function
-    | Sim.Trace.Sent { step; id; src; dst; depth; words } ->
+    | Sim.Trace.Sent { step; id; src = s; dst = d; depth = dp; words = w } ->
         Json.Obj
           [
             ("ev", Json.Str "send");
-            ("run", Json.Int run);
+            run;
             ("step", Json.Int step);
             ("id", Json.Int id);
-            ("src", Json.Int src);
-            ("dst", Json.Int dst);
-            ("depth", Json.Int depth);
-            ("words", Json.Int words);
+            src s;
+            dst d;
+            depth dp;
+            words w;
           ]
-    | Sim.Trace.Delivered { step; id; src; dst; depth } ->
+    | Sim.Trace.Delivered { step; id; src = s; dst = d; depth = dp } ->
         Json.Obj
           [
             ("ev", Json.Str "deliver");
-            ("run", Json.Int run);
+            run;
             ("step", Json.Int step);
             ("id", Json.Int id);
-            ("src", Json.Int src);
-            ("dst", Json.Int dst);
-            ("depth", Json.Int depth);
+            src s;
+            dst d;
+            depth dp;
           ]
     | Sim.Trace.Corrupted { step; pid } ->
-        Json.Obj
-          [
-            ("ev", Json.Str "corrupt");
-            ("run", Json.Int run);
-            ("step", Json.Int step);
-            ("pid", Json.Int pid);
-          ]
+        Json.Obj [ ("ev", Json.Str "corrupt"); run; ("step", Json.Int step); ("pid", Json.Int pid) ]
   in
   List.rev (Sim.Trace.fold trace ~init:[] ~f:(fun acc e -> record e :: acc))
 

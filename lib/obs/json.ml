@@ -9,22 +9,49 @@ type t =
 
 (* ----------------------------- emitter ----------------------------- *)
 
+let escape_char buf = function
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | '\b' -> Buffer.add_string buf "\\b"
+  | '\012' -> Buffer.add_string buf "\\f"
+  | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* The bytes between two escapes go over in one [add_substring]: a string
+   with nothing to escape, every key and tag an exporter writes, is one
+   copy. *)
 let escape_to buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let len = String.length s in
+  let start = ref 0 in
+  for i = 0 to len - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      Buffer.add_substring buf s !start (i - !start);
+      escape_char buf c;
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (len - !start);
   Buffer.add_char buf '"'
+
+(* Decimal digits straight into the buffer, without the intermediate
+   string [string_of_int] allocates. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf i =
+  if i >= 0 then add_digits buf i
+  else if i = min_int then Buffer.add_string buf (string_of_int i)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-i)
+  end
 
 (* Shortest decimal rendering that parses back to the same float; both
    candidates are valid JSON numbers ("%.17g" may print "1e+16" — fine). *)
@@ -35,29 +62,36 @@ let float_repr f =
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f ->
       if not (Float.is_finite f) then Buffer.add_string buf "null"
       else Buffer.add_string buf (float_repr f)
   | Str s -> escape_to buf s
-  | List xs ->
+  | List [] -> Buffer.add_string buf "[]"
+  | List (x :: xs) ->
       Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
+      to_buffer buf x;
+      List.iter
+        (fun x ->
+          Buffer.add_char buf ',';
           to_buffer buf x)
         xs;
       Buffer.add_char buf ']'
-  | Obj kvs ->
+  | Obj [] -> Buffer.add_string buf "{}"
+  | Obj (kv :: kvs) ->
       Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          escape_to buf k;
-          Buffer.add_char buf ':';
-          to_buffer buf v)
+      member_to_buffer buf kv;
+      List.iter
+        (fun kv ->
+          Buffer.add_char buf ',';
+          member_to_buffer buf kv)
         kvs;
       Buffer.add_char buf '}'
+
+and member_to_buffer buf (k, v) =
+  escape_to buf k;
+  Buffer.add_char buf ':';
+  to_buffer buf v
 
 let to_string v =
   let buf = Buffer.create 256 in

@@ -4,19 +4,25 @@
 let bucket_bounds =
   Array.append (Array.init 25 (fun i -> Float.of_int (1 lsl i))) [| Float.infinity |]
 
+(* The first bound [>= v], read off the binary exponent: [v = m * 2^e]
+   with [1 <= m < 2] lands on bound [2^e] when [m = 1] and on [2^(e+1)]
+   otherwise.  NaN fails both comparisons and lands in the overflow
+   bucket. *)
 let bucket_index v =
-  let rec go i = if i >= Array.length bucket_bounds - 1 || v <= bucket_bounds.(i) then i else go (i + 1) in
-  go 0
+  if v <= 1.0 then 0
+  else if v <= 16777216.0 then begin
+    let bits = Int64.bits_of_float v in
+    let e = Int64.to_int (Int64.shift_right_logical bits 52) - 1023 in
+    if Int64.equal (Int64.logand bits 0xF_FFFF_FFFF_FFFFL) 0L then e else e + 1
+  end
+  else Array.length bucket_bounds - 1
 
 type hist = { count : int; sum : float; min : float; max : float; buckets : int array }
 
-type hist_cell = {
-  mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
-  h_buckets : int array;
-}
+(* The float statistics sit in an all-float record, which OCaml stores
+   unboxed: updating them allocates nothing. *)
+type hist_floats = { mutable h_sum : float; mutable h_min : float; mutable h_max : float }
+type hist_cell = { mutable h_count : int; h_f : hist_floats; h_buckets : int array }
 
 (* Keys are (name, canonical labels); the Hashtbl key is the rendered
    series string to keep hashing cheap and collision-free. *)
@@ -47,14 +53,16 @@ let render name labels =
     labels;
   Buffer.contents buf
 
-let incr t ?(by = 1) ?(labels = []) name =
-  let labels = canonical labels in
+(* Cell lookup, created on a miss; both take canonical [labels]. *)
+let counter_cell t name labels =
   let key = render name labels in
   match Hashtbl.find_opt t.counters key with
-  | Some (_, r) -> r := !r + by
-  | None -> Hashtbl.replace t.counters key ({ name; labels }, ref by)
+  | Some (_, r) -> r
+  | None ->
+      let r = ref 0 in
+      Hashtbl.replace t.counters key ({ name; labels }, r);
+      r
 
-(* [labels] must already be canonical. *)
 let hist_cell t name labels =
   let key = render name labels in
   match Hashtbl.find_opt t.histograms key with
@@ -63,24 +71,51 @@ let hist_cell t name labels =
       let c =
         {
           h_count = 0;
-          h_sum = 0.0;
-          h_min = Float.infinity;
-          h_max = Float.neg_infinity;
+          h_f = { h_sum = 0.0; h_min = Float.infinity; h_max = Float.neg_infinity };
           h_buckets = Array.make (Array.length bucket_bounds) 0;
         }
       in
       Hashtbl.replace t.histograms key ({ name; labels }, c);
       c
 
-let observe t ?(labels = []) name v =
-  let labels = canonical labels in
-  let cell = hist_cell t name labels in
-  cell.h_count <- cell.h_count + 1;
-  cell.h_sum <- cell.h_sum +. v;
-  if v < cell.h_min then cell.h_min <- v;
-  if v > cell.h_max then cell.h_max <- v;
+(* ------------------------------ handles ------------------------------ *)
+
+(* A handle canonicalises its labels once and binds its cell on its first
+   update, sharing the cell any other handle or call on the same series
+   bound: a handle that never fires leaves no series behind. *)
+type 'cell handle = { reg : t; series : series; mutable cell : 'cell option }
+type counter = int ref handle
+type histo = hist_cell handle
+
+let handle t labels name = { reg = t; series = { name; labels = canonical labels }; cell = None }
+let counter t ?(labels = []) name : counter = handle t labels name
+let histo t ?(labels = []) name : histo = handle t labels name
+
+let bind h lookup =
+  let c = lookup h.reg h.series.name h.series.labels in
+  h.cell <- Some c;
+  c
+
+let add (c : counter) by =
+  let r = match c.cell with Some r -> r | None -> bind c counter_cell in
+  r := !r + by
+
+(* [count] equal values at once.  Sim quantities are integers, so
+   [count *. v] adds to [sum] exactly what [count] separate additions
+   would. *)
+let record_many (h : histo) ~count v =
+  let cell = match h.cell with Some c -> c | None -> bind h hist_cell in
+  cell.h_count <- cell.h_count + count;
+  let f = cell.h_f in
+  f.h_sum <- f.h_sum +. (float_of_int count *. v);
+  if v < f.h_min then f.h_min <- v;
+  if v > f.h_max then f.h_max <- v;
   let i = bucket_index v in
-  cell.h_buckets.(i) <- cell.h_buckets.(i) + 1
+  cell.h_buckets.(i) <- cell.h_buckets.(i) + count
+
+let record h v = record_many h ~count:1 v
+let incr t ?(by = 1) ?labels name = add (counter t ?labels name) by
+let observe t ?labels name v = record (histo t ?labels name) v
 
 let counter_value t ?(labels = []) name =
   match Hashtbl.find_opt t.counters (render name (canonical labels)) with
@@ -90,9 +125,9 @@ let counter_value t ?(labels = []) name =
 let snapshot cell =
   {
     count = cell.h_count;
-    sum = cell.h_sum;
-    min = cell.h_min;
-    max = cell.h_max;
+    sum = cell.h_f.h_sum;
+    min = cell.h_f.h_min;
+    max = cell.h_f.h_max;
     buckets = Array.copy cell.h_buckets;
   }
 
@@ -169,9 +204,9 @@ let merge_into ~into src =
       (* s.labels is canonical already: it was canonicalised on insert. *)
       let dst = hist_cell into s.name s.labels in
       dst.h_count <- dst.h_count + c.h_count;
-      dst.h_sum <- dst.h_sum +. c.h_sum;
-      if c.h_min < dst.h_min then dst.h_min <- c.h_min;
-      if c.h_max > dst.h_max then dst.h_max <- c.h_max;
+      dst.h_f.h_sum <- dst.h_f.h_sum +. c.h_f.h_sum;
+      if c.h_f.h_min < dst.h_f.h_min then dst.h_f.h_min <- c.h_f.h_min;
+      if c.h_f.h_max > dst.h_f.h_max then dst.h_f.h_max <- c.h_f.h_max;
       Array.iteri (fun i v -> dst.h_buckets.(i) <- dst.h_buckets.(i) + v) c.h_buckets)
     (sorted_seq src.histograms)
 

@@ -24,6 +24,28 @@ val observe : t -> ?labels:(string * string) list -> string -> float -> unit
     counted in [count]/[sum] clamping aside but land in the overflow
     bucket; callers normally observe finite sim quantities. *)
 
+(** {1 Handles}
+
+    A handle names one series, its labels canonicalised once, for hot
+    paths that update the same series many times: an update is a field
+    read and an add, with no sorting, rendering or hashing.  The series
+    joins the registry on the handle's first update (sharing the cell of
+    any handle or {!incr}/{!observe} call on the same series), so a
+    handle that never fires adds nothing to the document. *)
+
+type counter
+type histo
+
+val counter : t -> ?labels:(string * string) list -> string -> counter
+val add : counter -> int -> unit
+
+val histo : t -> ?labels:(string * string) list -> string -> histo
+val record : histo -> float -> unit
+
+val record_many : histo -> count:int -> float -> unit
+(** [count] observations of one value.  For integer-valued observations
+    (sums below 2^53) the result equals [count] calls of {!record}. *)
+
 val counter_value : t -> ?labels:(string * string) list -> string -> int
 (** 0 when the series was never incremented. *)
 

@@ -6,7 +6,8 @@ type 'm process_state =
 
 type expand = Eager | Lazy | Sharded of { jobs : int }
 
-type 'm meta_observer = src:int -> count:int -> words:int -> correct:bool -> 'm -> unit
+type 'm meta_observer =
+  src:int -> dst:int -> count:int -> id:int -> depth:int -> words:int -> correct:bool -> 'm -> unit
 
 (* Unicast arena: one slot per in-flight point-to-point message, int fields
    in flat struct-of-arrays storage.  Slots are recycled through a free
@@ -250,8 +251,14 @@ let b_release t s =
 
 (* ---- sending ---------------------------------------------------------- *)
 
-let fire_meta t ~src ~count ~words ~correct m =
-  List.iter (fun obs -> obs ~src ~count ~words ~correct m) t.meta_observers
+(* A direct walk rather than [List.iter]: no closure to allocate per send
+   when nobody listens. *)
+let rec fire_meta observers ~src ~dst ~count ~id ~depth ~words ~correct m =
+  match observers with
+  | [] -> ()
+  | obs :: rest ->
+      obs ~src ~dst ~count ~id ~depth ~words ~correct m;
+      fire_meta rest ~src ~dst ~count ~id ~depth ~words ~correct m
 
 let count_send t ~words ~correct =
   if correct then begin
@@ -263,9 +270,9 @@ let count_send t ~words ~correct =
     t.metrics.byz_words <- t.metrics.byz_words + words
   end
 
-(* One point-to-point enqueue: metrics, arena slot, latency draw, heap push,
-   legacy per-envelope observers.  Meta observers are the caller's job so a
-   broadcast can report once. *)
+(* One point-to-point enqueue: metrics, arena slot, latency draw, heap push.
+   Observers are the caller's job so a broadcast can report once; returns
+   the envelope id. *)
 let send_one t ~src ~dst ~words ~correct m =
   count_send t ~words ~correct;
   let s = u_alloc t in
@@ -287,18 +294,18 @@ let send_one t ~src ~dst ~words ~correct m =
      misbehaving custom scheduler cannot poison the queue order. *)
   let latency = if latency >= 0.0 then latency else 0.0 in
   Heap.push t.queue (t.now +. latency) id ((s lsl 1));
+  id
+
+(* One envelope with every observer told: the compact hook first, then the
+   per-envelope [on_send] stream.  That order keeps a send ahead of any
+   corruption an adaptive [on_send] adversary reacts to it with. *)
+let send_observed t ~src ~dst ~words ~correct m =
+  let id = send_one t ~src ~dst ~words ~correct m in
+  let depth = t.depth.(src) + 1 in
+  fire_meta t.meta_observers ~src ~dst ~count:1 ~id ~depth ~words ~correct m;
   if t.send_observers <> [] then begin
     let e =
-      {
-        Envelope.id;
-        src;
-        dst;
-        payload = m;
-        words;
-        depth = u.u_depth.(s);
-        sent_step = t.step;
-        sent_now = t.now;
-      }
+      { Envelope.id; src; dst; payload = m; words; depth; sent_step = t.step; sent_now = t.now }
     in
     List.iter (fun obs -> obs e) t.send_observers
   end
@@ -308,31 +315,31 @@ let send t ~src ~dst ~words m =
   check_pid t dst;
   match t.procs.(src) with
   | Crashed -> () (* a crashed process sends nothing *)
-  | Unregistered | Correct _ ->
-      send_one t ~src ~dst ~words ~correct:true m;
-      fire_meta t ~src ~count:1 ~words ~correct:true m
-  | Byzantine _ ->
-      send_one t ~src ~dst ~words ~correct:false m;
-      fire_meta t ~src ~count:1 ~words ~correct:false m
+  | Unregistered | Correct _ -> send_observed t ~src ~dst ~words ~correct:true m
+  | Byzantine _ -> send_observed t ~src ~dst ~words ~correct:false m
 
 (* Eager expansion: n individual enqueues, exactly the seed engine's
-   broadcast.  Per-destination class judgement tolerates a legacy send
-   observer corrupting the source mid-broadcast; the meta observers then
-   get one call per class actually sent. *)
-let eager_broadcast t ~src ~words m =
-  let ncorrect = ref 0 and nbyz = ref 0 in
-  for dst = 0 to t.n - 1 do
-    match t.procs.(src) with
-    | Crashed -> ()
-    | Unregistered | Correct _ ->
-        incr ncorrect;
-        send_one t ~src ~dst ~words ~correct:true m
-    | Byzantine _ ->
-        incr nbyz;
-        send_one t ~src ~dst ~words ~correct:false m
-  done;
-  if !ncorrect > 0 then fire_meta t ~src ~count:!ncorrect ~words ~correct:true m;
-  if !nbyz > 0 then fire_meta t ~src ~count:!nbyz ~words ~correct:false m
+   broadcast.  Without [on_send] observers nothing can change the sender's
+   class mid-broadcast, so the compact hook hears once, for ids
+   base .. base + n - 1 in destination order.  With them, each envelope
+   is reported as it goes out and its class judged per destination: an
+   observer may corrupt the source between two destinations. *)
+let eager_broadcast t ~src ~words ~correct m =
+  if t.send_observers = [] then begin
+    let base = t.next_id in
+    for dst = 0 to t.n - 1 do
+      ignore (send_one t ~src ~dst ~words ~correct m : int)
+    done;
+    fire_meta t.meta_observers ~src ~dst:0 ~count:t.n ~id:base ~depth:(t.depth.(src) + 1) ~words
+      ~correct m
+  end
+  else
+    for dst = 0 to t.n - 1 do
+      match t.procs.(src) with
+      | Crashed -> ()
+      | Unregistered | Correct _ -> send_observed t ~src ~dst ~words ~correct:true m
+      | Byzantine _ -> send_observed t ~src ~dst ~words ~correct:false m
+    done
 
 (* splitmix64-style finalizer, the per-chunk seed derivation for sharded
    expansion.  Pure function of (engine seed, broadcast id, chunk index):
@@ -461,7 +468,8 @@ let lazy_broadcast t ~src ~words ~correct ~sharded m =
   b.b_order.(s) <- order;
   b.b_next.(s) <- 0;
   Heap.push t.queue times.(0) (base + order.(0)) ((s lsl 1) lor 1);
-  fire_meta t ~src ~count:t.n ~words ~correct m
+  fire_meta t.meta_observers ~src ~dst:0 ~count:t.n ~id:base ~depth:b.b_depth.(s) ~words
+    ~correct m
 
 let broadcast t ~src ~words m =
   check_pid t src;
@@ -474,10 +482,10 @@ let broadcast t ~src ~words m =
       (* Legacy per-envelope send observers may corrupt the source between
          two destinations of the same broadcast; only eager expansion
          realises those semantics, so their presence forces it. *)
-      if t.send_observers <> [] then eager_broadcast t ~src ~words m
+      if t.send_observers <> [] then eager_broadcast t ~src ~words ~correct m
       else
         match t.expand with
-        | Eager -> eager_broadcast t ~src ~words m
+        | Eager -> eager_broadcast t ~src ~words ~correct m
         | Lazy -> lazy_broadcast t ~src ~words ~correct ~sharded:None m
         | Sharded { jobs } ->
             if t.scheduler.Scheduler.content_oblivious then

@@ -41,8 +41,8 @@
     between two destinations of one broadcast, which only eager expansion
     can realise — so registering any [on_send] observer forces eager
     expansion for subsequent broadcasts regardless of mode.  Passive
-    accounting (e.g. {!Ledger}) should use {!on_send_meta}, which keeps
-    the lazy fast path. *)
+    accounting and tracing ({!Ledger}, {!Trace}) use {!on_send_meta},
+    which keeps the lazy fast path. *)
 
 type 'm t
 
@@ -128,12 +128,27 @@ val on_send : 'm t -> ('m Envelope.t -> unit) -> unit
     {!on_send_meta}. *)
 
 val on_send_meta :
-  'm t -> (src:int -> count:int -> words:int -> correct:bool -> 'm -> unit) -> unit
-(** Compact send hook: invoked once per logical send operation — unicast
-    [count = 1], broadcast [count = n] — with the per-destination word
-    cost and the sender's correctness class.  (Under eager expansion a
-    mid-broadcast corruption splits the broadcast into one call per
-    class actually sent.)  Does not force eager expansion.  Observers
+  'm t ->
+  (src:int ->
+  dst:int ->
+  count:int ->
+  id:int ->
+  depth:int ->
+  words:int ->
+  correct:bool ->
+  'm ->
+  unit) ->
+  unit
+(** Compact send hook: one call covers [count] envelopes of one send
+    operation, bound for destinations [dst .. dst + count - 1] with
+    envelope ids [id .. id + count - 1] in destination order — a unicast
+    is [count = 1], a broadcast [dst = 0, count = n] — each of [words]
+    words at causal depth [depth], from a sender of class [correct].
+    Does not force eager expansion.  While per-envelope {!on_send}
+    observers are registered, every envelope is reported on its own
+    ([count = 1]) just before they see it, so a sender those observers
+    corrupt mid-broadcast is heard sending before it is corrupted, and
+    each envelope carries the class judged when it was sent.  Observers
     fire in registration order. *)
 
 val on_deliver : 'm t -> ('m Envelope.t -> unit) -> unit

@@ -171,7 +171,7 @@ let attach eng t ~tag_of ?round_of () =
   (* The compact meta hook, not the per-envelope [on_send] stream: one
      call per logical broadcast keeps the engine on its lazy fast path
      (a per-envelope observer would force eager expansion). *)
-  Engine.on_send_meta eng (fun ~src:_ ~count ~words ~correct m ->
+  Engine.on_send_meta eng (fun ~src:_ ~dst:_ ~count ~id:_ ~depth:_ ~words ~correct m ->
       record_send_many t ~phase:(tag_of m) ~round:(round_of m) ~correct ~words ~count);
   Engine.on_deliver eng (fun e ->
       record_delivery t

@@ -15,9 +15,10 @@
     n >= 1e5 simulator the ROADMAP targets.  Several runs may share one
     ledger ({!attach} it to successive engines) to aggregate a campaign.
 
-    Like {!Obs.Bridge}, attachment is passive: recording reads the
-    engine's observer stream and never touches RNG or scheduling, so a
-    fixed-seed run is byte-identical with the ledger on or off. *)
+    Like {!Trace} and the metrics attachment of [Core.Instrument],
+    attachment is passive: recording reads the engine's observer stream
+    and never touches RNG or scheduling, so a fixed-seed run is
+    byte-identical with the ledger on or off. *)
 
 type t
 

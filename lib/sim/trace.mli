@@ -3,7 +3,10 @@
     Useful for debugging protocol runs and for forensic assertions in
     tests ("no correct process sent after X", "message m was delivered to
     everyone").  Events are recorded through the engine's observer hooks,
-    so attaching a trace never changes an execution. *)
+    so attaching a trace never changes an execution.  Sends come through
+    {!Engine.on_send_meta}, so a traced engine keeps lazy broadcast
+    expansion; the events are the same under either expansion mode.  The
+    ring stores events as flat ints: recording one allocates nothing. *)
 
 type event =
   | Sent of { step : int; id : int; src : int; dst : int; depth : int; words : int }

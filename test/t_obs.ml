@@ -77,6 +77,57 @@ let test_json_accessors () =
     (Option.bind (member "d" doc) to_float_opt);
   Alcotest.(check bool) "missing member" true (member "zz" doc = None)
 
+(* The per-character escaper the emitter used before it copied clean runs
+   in one go: the reference the fast path must reproduce byte for byte. *)
+let reference_escape s =
+  let buf = Buffer.create 16 in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\b' -> Buffer.add_string buf "\\b"
+      | '\012' -> Buffer.add_string buf "\\f"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let test_json_escape_differential () =
+  let check s =
+    Alcotest.(check string) (String.escaped s) (reference_escape s)
+      (Obs.Json.to_string (Obs.Json.Str s))
+  in
+  for b = 0 to 255 do
+    let c = String.make 1 (Char.chr b) in
+    check c;
+    check ("ab" ^ c ^ "cd" ^ c)
+  done;
+  let rng = Random.State.make [| 2026 |] in
+  let skewed = "\"\\\n\r\t\b\012\001\031 aZ~\127\200\255" in
+  for _ = 1 to 2000 do
+    let len = Random.State.int rng 40 in
+    check (String.init len (fun _ -> Char.chr (Random.State.int rng 256)));
+    check (String.init len (fun _ -> skewed.[Random.State.int rng (String.length skewed)]))
+  done
+
+let test_json_int_rendering () =
+  let rng = Random.State.make [| 7 |] in
+  let values =
+    [ 0; 1; 9; 10; 99; 100; -1; -9; -10; max_int; min_int; max_int - 1; min_int + 1 ]
+    @ List.init 500 (fun _ -> Random.State.bits rng - Random.State.bits rng)
+  in
+  List.iter
+    (fun i ->
+      Alcotest.(check string) (string_of_int i) (string_of_int i)
+        (Obs.Json.to_string (Obs.Json.Int i)))
+    values
+
 (* ------------------------------ metrics ------------------------------ *)
 
 let test_bucket_edges () =
@@ -120,6 +171,55 @@ let test_labels_canonical () =
     (Obs.Metrics.counter_value m ~labels:[ ("a", "1"); ("b", "2") ] "c");
   Alcotest.(check int) "different labels are a different series" 0
     (Obs.Metrics.counter_value m ~labels:[ ("a", "1") ] "c")
+
+let test_bucket_index_reference () =
+  (* the linear scan the binary search replaced *)
+  let bounds = Obs.Metrics.bucket_bounds in
+  let reference v =
+    let rec go i = if i >= Array.length bounds - 1 || v <= bounds.(i) then i else go (i + 1) in
+    go 0
+  in
+  let rng = Random.State.make [| 11 |] in
+  let values =
+    [ Float.nan; Float.infinity; Float.neg_infinity; -1.0; 0.0; 0.5; 16777216.0; 16777217.0 ]
+    @ List.init 25 (fun i -> Float.of_int (1 lsl i))
+    @ List.init 25 (fun i -> Float.succ (Float.of_int (1 lsl i)))
+    @ List.init 1000 (fun _ -> Float.of_int (Random.State.int rng (1 lsl 26)))
+    @ List.init 200 (fun _ -> Random.State.float rng 100.0)
+  in
+  List.iter
+    (fun v ->
+      Alcotest.(check int) (Printf.sprintf "%h" v) (reference v) (Obs.Metrics.bucket_index v))
+    values
+
+let test_handles () =
+  let open Obs.Metrics in
+  let m = create () in
+  let c = counter m ~labels:[ ("b", "2"); ("a", "1") ] "c" in
+  let idle = counter m "never" and idle_h = histo m "never_h" in
+  ignore (idle, idle_h);
+  Alcotest.(check int) "an unfired handle adds no series" 0
+    (fold_counters m ~init:0 ~f:(fun n ~name:_ ~labels:_ _ -> n + 1));
+  incr m ~labels:[ ("a", "1"); ("b", "2") ] "c";
+  add c 5;
+  add (counter m ~labels:[ ("a", "1"); ("b", "2") ] "c") 2;
+  Alcotest.(check int) "handles and incr share one series" 8
+    (counter_value m ~labels:[ ("a", "1"); ("b", "2") ] "c");
+  Alcotest.(check bool) "unfired histogram handle adds no series" true
+    (histogram m "never_h" = None);
+  (* record_many is [count] records for integer values *)
+  let one = create () and many = create () in
+  let h = histo many "w" in
+  List.iter
+    (fun (count, v) ->
+      for _ = 1 to count do
+        observe one "w" v
+      done;
+      record_many h ~count v)
+    [ (128, 3.0); (1, 40.0); (64, 1.0); (7, 1e6) ];
+  Alcotest.(check string) "record_many = repeated record"
+    (Obs.Json.to_string (to_json one))
+    (Obs.Json.to_string (to_json many))
 
 (* ------------------------------- spans ------------------------------- *)
 
@@ -385,9 +485,13 @@ let suite =
     Alcotest.test_case "json non-finite floats" `Quick test_json_nonfinite_floats;
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "json accessors" `Quick test_json_accessors;
+    Alcotest.test_case "json escape = per-char reference" `Quick test_json_escape_differential;
+    Alcotest.test_case "json int rendering" `Quick test_json_int_rendering;
     Alcotest.test_case "bucket edges" `Quick test_bucket_edges;
     Alcotest.test_case "histogram counts" `Quick test_histogram_counts;
     Alcotest.test_case "labels canonical" `Quick test_labels_canonical;
+    Alcotest.test_case "bucket index = linear reference" `Quick test_bucket_index_reference;
+    Alcotest.test_case "counter and histogram handles" `Quick test_handles;
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "span closes on raise" `Quick test_span_closes_on_raise;
     Alcotest.test_case "probe is passive" `Quick test_probe_is_passive;

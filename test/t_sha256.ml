@@ -73,53 +73,6 @@ let test_update_bytes_bounds () =
     (Invalid_argument "Sha256.update_bytes: slice out of bounds") (fun () ->
       Sha256.update_bytes ctx (Bytes.create 4) (-1) 2)
 
-(* ---------------- SHA-512 ---------------- *)
-
-let sha512_vectors =
-  [
-    ( "",
-      "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e" );
-    ( "abc",
-      "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f" );
-    ( "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
-      "8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909" );
-  ]
-
-let test_sha512_vectors () =
-  List.iter (fun (input, expect) -> check_hex input expect (Sha512.hex input)) sha512_vectors
-
-let test_sha512_size () =
-  Alcotest.(check int) "64 bytes" 64 (String.length (Sha512.digest "x"));
-  Alcotest.(check int) "constant" 64 Sha512.digest_size
-
-let test_sha512_block_boundaries () =
-  (* 128-byte blocks, 112-byte padding boundary. *)
-  List.iter
-    (fun len ->
-      let s = String.make len 'y' in
-      let ctx = Sha512.init () in
-      String.iter (fun c -> Sha512.update ctx (String.make 1 c)) s;
-      Alcotest.(check string)
-        (Printf.sprintf "len %d bytewise = one-shot" len)
-        (Hex.encode (Sha512.digest s))
-        (Hex.encode (Sha512.finalize ctx)))
-    [ 0; 1; 111; 112; 113; 127; 128; 129; 255; 256 ]
-
-let test_sha512_digest_list () =
-  Alcotest.(check string) "list = concat"
-    (Hex.encode (Sha512.digest "abc"))
-    (Hex.encode (Sha512.digest_list [ "a"; ""; "bc" ]))
-
-let qcheck_sha512_incremental =
-  QCheck.Test.make ~name:"qcheck: sha512 random split incremental = one-shot" ~count:200
-    QCheck.(pair (string_of_size Gen.(0 -- 400)) (int_range 0 400))
-    (fun (s, cut) ->
-      let cut = min cut (String.length s) in
-      let ctx = Sha512.init () in
-      Sha512.update ctx (String.sub s 0 cut);
-      Sha512.update ctx (String.sub s cut (String.length s - cut));
-      Sha512.finalize ctx = Sha512.digest s)
-
 let qcheck_incremental =
   QCheck.Test.make ~name:"qcheck: random split incremental = one-shot" ~count:300
     QCheck.(pair (string_of_size Gen.(0 -- 300)) (int_range 0 300))
@@ -146,9 +99,4 @@ let suite =
     Alcotest.test_case "update_bytes bounds check" `Quick test_update_bytes_bounds;
     QCheck_alcotest.to_alcotest qcheck_incremental;
     QCheck_alcotest.to_alcotest qcheck_avalanche;
-    Alcotest.test_case "sha512 NIST vectors" `Quick test_sha512_vectors;
-    Alcotest.test_case "sha512 size" `Quick test_sha512_size;
-    Alcotest.test_case "sha512 block boundaries" `Quick test_sha512_block_boundaries;
-    Alcotest.test_case "sha512 digest_list" `Quick test_sha512_digest_list;
-    QCheck_alcotest.to_alcotest qcheck_sha512_incremental;
   ]

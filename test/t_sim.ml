@@ -397,8 +397,9 @@ let test_observer_registration_order () =
   let eng : int Engine.t = Engine.create ~n:2 ~seed:21 () in
   let trace = ref [] in
   let mark tag _ = trace := tag :: !trace in
-  Engine.on_send_meta eng (fun ~src:_ ~count:_ ~words:_ ~correct:_ m -> mark "m1" m);
-  Engine.on_send_meta eng (fun ~src:_ ~count:_ ~words:_ ~correct:_ m -> mark "m2" m);
+  let meta tag ~src:_ ~dst:_ ~count:_ ~id:_ ~depth:_ ~words:_ ~correct:_ m = mark tag m in
+  Engine.on_send_meta eng (meta "m1");
+  Engine.on_send_meta eng (meta "m2");
   Engine.on_deliver eng (mark "d1");
   Engine.on_deliver eng (mark "d2");
   Engine.on_corrupt eng (mark "c1");

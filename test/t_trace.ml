@@ -133,6 +133,55 @@ let test_attach_does_not_change_execution () =
   in
   Alcotest.(check bool) "same delivery order" true (run true = run false)
 
+(* The trace rides the engine's compact send hook, so a traced engine
+   keeps lazy expansion.  Its events must not depend on how broadcasts are
+   expanded: lazy, eager, or eager with each envelope reported on its own
+   (what a per-envelope [on_send] observer forces).  The run mixes
+   handler-driven broadcasts, unicasts and a mid-run Byzantine corruption;
+   the small capacities make the ring wrap inside a single broadcast. *)
+let traced_run mode ~capacity seed =
+  let n = 13 in
+  let expand = match mode with `Eager -> Engine.Eager | `Lazy | `Per_envelope -> Engine.Lazy in
+  let eng : int Engine.t = Engine.create ~expand ~n ~seed () in
+  let trace = Trace.create ~capacity () in
+  Trace.attach trace eng;
+  if mode = `Per_envelope then Engine.on_send eng (fun _ -> ());
+  for pid = 0 to n - 1 do
+    Engine.set_handler eng pid (fun e ->
+        let p = e.Envelope.payload in
+        if p < 2 && pid mod 3 = 0 then Engine.broadcast eng ~src:pid ~words:(p + 2) (p + 1)
+        else if p < 4 && pid mod 4 = 1 then
+          Engine.send eng ~src:pid ~dst:((pid + 5) mod n) ~words:1 (p + 1);
+        if Engine.step eng = 40 then
+          Engine.corrupt_byzantine eng 6 (fun e' ->
+              if e'.Envelope.payload = 1 then Engine.broadcast eng ~src:6 ~words:1 9))
+  done;
+  Engine.broadcast eng ~src:0 ~words:3 0;
+  ignore (Engine.run eng ~until:(fun () -> false));
+  (Trace.events trace, Trace.length trace, Trace.dropped trace)
+
+let test_expansion_modes_trace_alike () =
+  List.iter
+    (fun capacity ->
+      List.iter
+        (fun seed ->
+          let what = Printf.sprintf "capacity %d, seed %d" capacity seed in
+          let lazy_ = traced_run `Lazy ~capacity seed in
+          let events, _, dropped = lazy_ in
+          Alcotest.(check bool) (what ^ ": eager = lazy") true
+            (traced_run `Eager ~capacity seed = lazy_);
+          Alcotest.(check bool) (what ^ ": per-envelope = lazy") true
+            (traced_run `Per_envelope ~capacity seed = lazy_);
+          if capacity < 13 then
+            Alcotest.(check bool) (what ^ ": the ring wrapped") true (dropped > 0)
+          else
+            Alcotest.(check bool) (what ^ ": a Byzantine broadcast was traced") true
+              (List.exists
+                 (function Trace.Sent { src = 6; words = 1; _ } -> true | _ -> false)
+                 events))
+        [ 1; 7; 2026 ])
+    [ 1; 5; 12; 100_000 ]
+
 let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
@@ -158,6 +207,7 @@ let suite =
     Alcotest.test_case "ring buffer" `Quick test_ring_buffer_drops_oldest;
     Alcotest.test_case "max depth" `Quick test_max_depth;
     Alcotest.test_case "fold matches events" `Quick test_fold_matches_events;
+    Alcotest.test_case "expansion modes trace alike" `Quick test_expansion_modes_trace_alike;
     Alcotest.test_case "fold after wraparound" `Quick test_fold_after_wraparound;
     Alcotest.test_case "attach is passive" `Quick test_attach_does_not_change_execution;
     Alcotest.test_case "pp smoke" `Quick test_pp_smoke;

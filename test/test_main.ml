@@ -31,6 +31,7 @@ let () =
       ("baselines", T_baselines.suite);
       ("trace", T_trace.suite);
       ("obs", T_obs.suite);
+      ("golden", T_golden.suite);
       ("vclock", T_vclock.suite);
       ("attacks/chain", T_attacks_chain.suite);
       ("fuzz", T_fuzz.suite);
